@@ -38,7 +38,8 @@ use std::process::Command;
 /// their gates regress (`precision` gates the f32 arena high water and the
 /// planner's extra explicit admissions; `multinode` gates the 4-node
 /// weak-scaling efficiency; `kernels` gates the blocked-vs-scalar gemm
-/// speedup and the calibrated cost model; `serve` gates the multi-tenant
+/// speedup, the calibrated cost model and a parallel PCPG iteration against
+/// a serial one; `serve` gates the multi-tenant
 /// service's warm-cache preprocessing throughput and its contended
 /// scheduling fairness). The same names select the `trace-audit`
 /// workloads.

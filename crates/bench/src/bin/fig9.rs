@@ -44,7 +44,7 @@ fn main() {
     }
     println!("totals = measured factorization wall + measured CPU assembly wall +");
     println!("simulated GPU assembly makespan (GPU columns mix measured and simulated");
-    println!("time; see EXPERIMENTS.md). Paper shape to check: expl_mkl fastest explicit");
+    println!("time; see perfbench/README.md). Paper shape to check: expl_mkl fastest explicit");
     println!("in 2D; expl_gpu_opt fastest explicit for large 3D subdomains, up to 9.8x");
     println!("faster than expl_mkl and only ~2.3x slower than implicit preprocessing.");
 }

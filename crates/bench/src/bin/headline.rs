@@ -187,7 +187,8 @@ fn main() {
     println!("caveats: CPU quantities are measured on this host (not a 64-core EPYC),");
     println!("GPU quantities are simulated A100 time; ratios mixing the two regimes");
     println!("(e.g. amortization of simulated-GPU apply vs measured-CPU implicit apply)");
-    println!("reproduce the paper's *shape*, not its absolute scale. See EXPERIMENTS.md.");
+    println!("reproduce the paper's *shape*, not its absolute scale. See perfbench/README.md");
+    println!("for the measured end-to-end and per-layer numbers.");
 
     if let Some(path) = &args.json {
         let record = sc_bench::bench_record(

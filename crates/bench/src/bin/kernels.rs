@@ -2,7 +2,7 @@
 //! references, and the measured-rate calibration against the nominal host
 //! cost model.
 //!
-//! Two hard gates (non-zero exit on regression):
+//! Three hard gates (non-zero exit on regression):
 //!
 //! 1. **blocked gemm ≥ [`GEMM_GATE`]× scalar** at `n = 512` (best-of-N
 //!    wall clock on both sides, so one noisy scalar run cannot flip the
@@ -13,7 +13,13 @@
 //!    closer to the realized CPU wall time than the nominal
 //!    [`DeviceSpec::host`] constants do (relative-gap comparison). The
 //!    nominal host claims server-class 250 GFLOP/s; the probe measures
-//!    this machine.
+//!    this machine;
+//! 3. **a parallel PCPG iteration is no slower than a serial one**: the
+//!    best-of-N time per iteration of `solve_rhs` on
+//!    `HeatProblem::build_2d(16, (4, 4))` (explicit CPU operator) with the
+//!    default thread count must stay within [`PCPG_PARALLEL_GATE`]× the
+//!    same solve under `rayon::with_max_threads(1)`. The best-of-N empty
+//!    64-item fan-out of the parallel runtime is reported beside it.
 //!
 //! The remaining kernel classes (TRSM, SYRK, partial Cholesky, binned
 //! SpMV) are reported for the record without hard gates — their blocked
@@ -22,14 +28,20 @@
 //!
 //! Usage: `cargo run -p sc_bench --release --bin kernels [--n N] [--json PATH]`
 
+use rayon::prelude::*;
 use sc_bench::{bench_record, ms, time_min, write_json, BatchWorkload, Json, Table};
 use sc_core::{estimate_cost, AssemblySession, Backend, MicrokernelRates, ScConfig};
 use sc_dense::{Mat, Trans};
+use sc_fem::{Gluing, HeatProblem};
+use sc_feti::{FetiSolverBuilder, FormulationChoice};
 use sc_gpu::DeviceSpec;
 use sc_sparse::{binned_spmv, BinnedPlan, Coo};
 
 /// Minimum admissible blocked/scalar gemm speedup at the gate size.
 const GEMM_GATE: f64 = 3.0;
+
+/// Maximum admissible parallel/serial PCPG time per iteration.
+const PCPG_PARALLEL_GATE: f64 = 1.10;
 
 /// Gate size for the gemm comparison (both paths well past the blocked
 /// routing threshold).
@@ -240,6 +252,39 @@ fn main() {
     let gap_nominal = gap(predicted_nominal);
     let gap_calibrated = gap(predicted_calibrated);
 
+    // ---- axis 3: the parallel runtime on the PCPG hot loop --------------
+    let fanout_s = time_min(200, || {
+        std::hint::black_box(
+            (0..64)
+                .into_par_iter()
+                .map(|i| i * 2)
+                .collect::<Vec<usize>>(),
+        );
+    });
+    let problem = HeatProblem::build_2d(16, (4, 4), Gluing::Redundant);
+    let solver = FetiSolverBuilder::new()
+        .backend(Backend::cpu())
+        .formulation(FormulationChoice::Explicit)
+        .build(&problem);
+    let loads: Vec<Vec<f64>> = problem.subdomains.iter().map(|sd| sd.f.clone()).collect();
+    let iters = solver.solve_rhs(&loads).stats.iterations.max(1);
+    let per_iter = |threads: usize| {
+        time_min(1, || {
+            let sol = rayon::with_max_threads(threads, || solver.solve_rhs(&loads));
+            assert_eq!(
+                sol.stats.iterations, iters,
+                "thread count changed the PCPG run"
+            );
+        }) / iters as f64 // sc-analyze: allow(precision-discipline)
+    };
+    // alternate the two sides so a drift in host speed hits both alike
+    let (mut pcpg_serial_s, mut pcpg_parallel_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..50 {
+        pcpg_serial_s = pcpg_serial_s.min(per_iter(1));
+        pcpg_parallel_s = pcpg_parallel_s.min(per_iter(0));
+    }
+    let pcpg_ratio = pcpg_parallel_s / pcpg_serial_s;
+
     // ---- report ---------------------------------------------------------
     let mut table = Table::new(
         &format!("Cache-blocked kernels vs scalar references (n = {n}, best-of-N wall clock)"),
@@ -255,7 +300,26 @@ fn main() {
             format!("{:.2}", k.blocked_gflops()),
         ]);
     }
+    // the serial reference is the one-thread solve, the optimized side the
+    // default thread count; a time per iteration has no FLOP rate
+    table.row(vec![
+        "pcpg_iter".to_string(),
+        ms(pcpg_serial_s),
+        ms(pcpg_parallel_s),
+        format!("{:.2}x", 1.0 / pcpg_ratio),
+        "-".to_string(),
+    ]);
     table.emit("kernels");
+    println!(
+        "parallel runtime ({} threads): empty 64-item fan-out {:.2} us best-of-200; PCPG on \
+         build_2d(16, (4, 4)) over {iters} iterations: {:.1} us/iter with default threads vs \
+         {:.1} us/iter with one ({:.2}x serial, gate <= {PCPG_PARALLEL_GATE}x).",
+        rayon::current_num_threads(),
+        fanout_s * 1e6,
+        pcpg_parallel_s * 1e6,
+        pcpg_serial_s * 1e6,
+        pcpg_ratio,
+    );
     println!(
         "calibration: host assembly of the headline batch realized {} — predicted {} nominal \
          (gap {:.1}%) vs {} calibrated (gap {:.1}%); probe rates: gemm {:.1} / trsm {:.1} / \
@@ -303,7 +367,13 @@ fn main() {
                 .field("predicted_nominal_s", predicted_nominal)
                 .field("predicted_calibrated_s", predicted_calibrated)
                 .field("gap_nominal", gap_nominal)
-                .field("gap_calibrated", gap_calibrated),
+                .field("gap_calibrated", gap_calibrated)
+                .field("threads", rayon::current_num_threads())
+                .field("fanout_s", fanout_s)
+                .field("pcpg_iterations", iters)
+                .field("pcpg_iter_serial_s", pcpg_serial_s)
+                .field("pcpg_iter_parallel_s", pcpg_parallel_s)
+                .field("pcpg_parallel_gate", PCPG_PARALLEL_GATE),
         );
         if let Err(err) = write_json(path, &record) {
             eprintln!("warning: failed to write {}: {err}", path.display());
@@ -328,6 +398,16 @@ fn main() {
              than nominal ones (nominal gap {:.1}%, calibrated gap {:.1}%)",
             100.0 * gap_nominal,
             100.0 * gap_calibrated,
+        );
+        failed = true;
+    }
+    if pcpg_ratio > PCPG_PARALLEL_GATE {
+        eprintln!(
+            "FAIL: a parallel PCPG iteration takes {:.2}x a serial one (gate <= \
+             {PCPG_PARALLEL_GATE}x): {:.1} us vs {:.1} us",
+            pcpg_ratio,
+            pcpg_parallel_s * 1e6,
+            pcpg_serial_s * 1e6,
         );
         failed = true;
     }
