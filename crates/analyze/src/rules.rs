@@ -63,24 +63,14 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
     ]
 }
 
-/// Files permitted to compare floats bitwise with `==`/`!=`: replay
-/// determinism tests, where the whole point is bit-identical numerics.
-pub const FLOAT_EQ_ALLOWLIST: &[&str] = &[
-    "tests/determinism.rs",
-    "crates/core/src/batch.rs",
-    "crates/core/tests/",
-];
+/// Files permitted to compare floats bitwise with `==`/`!=`. Empty:
+/// bitwise determinism checks compare whole values with `assert_eq!`, and a
+/// deliberate exact comparison carries the line escape instead.
+pub const FLOAT_EQ_ALLOWLIST: &[&str] = &[];
 
-/// Files permitted to reference the deprecated compat surface: the
-/// facade that re-exports it, the module that defines it, and the API
-/// surface test that pins it.
-pub const DEPRECATION_ALLOWLIST: &[&str] = &[
-    "src/lib.rs",
-    "crates/core/src/lib.rs",
-    "crates/core/src/schedule.rs",
-    "crates/feti/src/compat.rs",
-    "tests/api_surface.rs",
-];
+/// Files permitted to reference deprecated items. Empty: the workspace
+/// carries no deprecated surface outside the vendored shims.
+pub const DEPRECATION_ALLOWLIST: &[&str] = &[];
 
 /// True for paths that are library (non-test, non-bench, non-shim)
 /// sources: `src/**` of the facade or of any `crates/<name>` except
@@ -620,7 +610,11 @@ mod tests {
     fn float_eq_fires_and_respects_allowlist() {
         let src = "fn f(x: f64) -> bool { x == 0.5 }\n";
         assert_eq!(run("crates/fem/src/problem.rs", src).len(), 1);
-        assert!(run("tests/determinism.rs", src).is_empty());
+        assert_eq!(run("tests/determinism.rs", src).len(), 1);
+        let exempt: Vec<Box<dyn Rule>> = vec![Box::new(FloatEq {
+            allow_files: &["tests/determinism.rs"],
+        })];
+        assert!(analyze_source("tests/determinism.rs", src, &exempt).is_empty());
         let neg = "fn f(x: f64) -> bool { x != -1.5 }\n";
         assert_eq!(run("crates/fem/src/problem.rs", neg).len(), 1);
         let int = "fn f(x: u8) -> bool { x == 5 }\n";
@@ -679,8 +673,12 @@ mod tests {
     fn deprecation_budget_respects_allowlist() {
         let src = "#[allow(deprecated)]\nfn f() {}\n";
         assert_eq!(run("crates/order/src/graph.rs", src).len(), 1);
-        assert!(run("crates/feti/src/compat.rs", src).is_empty());
-        assert!(run("src/lib.rs", src).is_empty());
+        assert_eq!(run("src/lib.rs", src).len(), 1);
+        assert!(run("crates/shims/rayon/src/lib.rs", src).is_empty());
+        let exempt: Vec<Box<dyn Rule>> = vec![Box::new(DeprecationBudget {
+            allow_files: &["crates/order/src/"],
+        })];
+        assert!(analyze_source("crates/order/src/graph.rs", src, &exempt).is_empty());
         let unrelated = "#[allow(dead_code)]\nfn f() {}\n";
         assert!(run("crates/order/src/graph.rs", unrelated).is_empty());
     }
@@ -706,6 +704,21 @@ mod tests {
         assert!(run("crates/sparse/src/csr.rs", src).is_empty());
         let wrong = "fn f(x: Option<u8>) -> u8 { x.unwrap() } // sc-analyze: allow(float-eq)\n";
         assert_eq!(run("crates/sparse/src/csr.rs", wrong).len(), 1);
+    }
+
+    #[test]
+    fn every_allowlist_entry_names_an_existing_path() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for entry in FLOAT_EQ_ALLOWLIST
+            .iter()
+            .chain(PRECISION_ALLOWLIST)
+            .chain(DEPRECATION_ALLOWLIST)
+        {
+            assert!(
+                root.join(entry).exists(),
+                "allowlist entry `{entry}` names no file or directory in the workspace"
+            );
+        }
     }
 
     #[test]

@@ -143,7 +143,7 @@ impl KernelWorkload {
 
 /// A whole cluster prepared for the batched-assembly benches: **every**
 /// subdomain of a regular decomposition factorized, with its `B̃ᵀ` in factor
-/// row order — the input of `sc_core::assemble_sc_batch`.
+/// row order — the input of `sc_core::AssemblySession::assemble`.
 pub struct BatchWorkload {
     /// Per-subdomain `(L, B̃ᵀ_permuted)` pairs.
     pub factors: Vec<(Csc, Csc)>,

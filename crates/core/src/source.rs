@@ -11,8 +11,7 @@
 //!   ([`LazyBatch`]): [`BatchSource::factor`] returns an owned
 //!   [`Cow`], so peak memory holds at most one in-flight factor copy per
 //!   worker thread instead of one per subdomain — the right shape for
-//!   clusters with hundreds of subdomains (this replaces the deleted
-//!   `assemble_sc_batch*_map` driver twins).
+//!   clusters with hundreds of subdomains.
 //!
 //! [`AssemblySession::assemble`](crate::AssemblySession::assemble) accepts
 //! anything implementing [`IntoBatchSource`], which is blanket-implemented

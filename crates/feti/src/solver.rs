@@ -15,8 +15,8 @@ use crate::refine::{F32Op, RefinementStats, INNER_TOL};
 use rayon::prelude::*;
 use sc_core::{
     estimate_apply, estimate_cost, plan_hybrid, AssemblyReport, AssemblySession, Backend,
-    BatchReport, ClusterOptions, ClusterReport, DeviceSlot, Formulation, HybridPlan,
-    HybridPlanOptions, HybridSummary, LazyBatch, Precision, ScConfig, Target,
+    ClusterOptions, DeviceSlot, Formulation, HybridPlanOptions, HybridSummary, LazyBatch,
+    Precision, ScConfig, Target,
 };
 use sc_dense::{Mat, Scalar};
 use sc_factor::Engine;
@@ -26,8 +26,6 @@ use sc_order::Ordering;
 use sc_sparse::{Coo, Csc};
 use std::borrow::Cow;
 use std::sync::Arc;
-
-pub use crate::compat::DualMode;
 
 /// Which dual-operator formulation the solver realizes (orthogonal to the
 /// [`Backend`] that executes any explicit assembly).
@@ -47,45 +45,6 @@ pub enum FormulationChoice {
     Auto(HybridPlanOptions),
 }
 
-/// Options of the hybrid (auto) formulation when driven through the legacy
-/// [`DualMode::Hybrid`] selector. New code passes the plan options to
-/// [`FormulationChoice::Auto`] and the cluster options to the
-/// [`Backend`].
-///
-/// ```
-/// use sc_feti::HybridOptions;
-/// use sc_core::{ClusterOptions, HybridPlanOptions};
-/// let opts = HybridOptions::default()
-///     .with_plan(HybridPlanOptions::default().with_iters(80.0))
-///     .with_cluster(ClusterOptions::default());
-/// assert_eq!(opts.plan.iters, 80.0);
-/// ```
-#[derive(Clone, Debug, Default)]
-#[non_exhaustive]
-pub struct HybridOptions {
-    /// Decision-layer inputs: expected iteration count, host pricing spec,
-    /// candidate set, collapse override.
-    pub plan: HybridPlanOptions,
-    /// Scheduling options of the explicit-GPU share (`ready_at` is indexed
-    /// by **subdomain**, like the other modes; it is sliced down to the
-    /// share the planner sends to the pool).
-    pub cluster: ClusterOptions,
-}
-
-impl HybridOptions {
-    /// Set the decision-layer inputs.
-    pub fn with_plan(mut self, plan: HybridPlanOptions) -> Self {
-        self.plan = plan;
-        self
-    }
-
-    /// Set the explicit-GPU share's scheduling options.
-    pub fn with_cluster(mut self, cluster: ClusterOptions) -> Self {
-        self.cluster = cluster;
-        self
-    }
-}
-
 /// Dual preconditioner selection for PCPG.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Preconditioner {
@@ -98,8 +57,8 @@ pub enum Preconditioner {
 }
 
 /// Solver options, captured **once** at construction
-/// ([`FetiSolver::new`] / [`FetiSolverBuilder::options`]);
-/// [`FetiSolver::solve`] takes no arguments.
+/// ([`FetiSolverBuilder::options`]); [`FetiSolver::solve`] takes no
+/// arguments.
 ///
 /// ```
 /// use sc_feti::{FetiOptions, Preconditioner};
@@ -111,11 +70,6 @@ pub enum Preconditioner {
 /// ```
 #[derive(Clone)]
 pub struct FetiOptions {
-    /// Legacy dual-operator selector, honoured by [`FetiSolver::new`] only.
-    /// [`FetiSolverBuilder`] ignores it — target and formulation are set
-    /// through [`FetiSolverBuilder::backend`] /
-    /// [`FetiSolverBuilder::formulation`] instead.
-    pub dual: DualMode,
     /// Numeric factorization engine for `K_reg`.
     pub engine: Engine,
     /// Fill-reducing ordering.
@@ -131,7 +85,6 @@ pub struct FetiOptions {
 impl Default for FetiOptions {
     fn default() -> Self {
         FetiOptions {
-            dual: DualMode::Implicit,
             engine: Engine::Simplicial,
             ordering: Ordering::NestedDissection,
             preconditioner: Preconditioner::None,
@@ -188,53 +141,6 @@ pub struct FetiSolution {
     pub refinement: Option<RefinementStats>,
 }
 
-/// Roll-up of one hybrid preprocessing run in the legacy three-report
-/// vocabulary; superseded by the `hybrid` section of the unified
-/// [`AssemblyReport`] ([`FetiSolver::report`]). All subdomain indices are
-/// **problem-global** (the per-share reports are remapped).
-#[derive(Clone, Debug)]
-pub struct HybridReport {
-    /// Per-subdomain decisions with predicted assembly/apply costs.
-    pub plan: HybridPlan,
-    /// Cluster roll-up of the explicit-GPU share (`None` when the planner
-    /// sent nothing to the pool). `device_of` spans the whole problem with
-    /// `usize::MAX` for subdomains not assembled on the pool.
-    pub cluster: Option<ClusterReport>,
-    /// Batch report of the explicit-CPU share (`None` when empty).
-    pub cpu_batch: Option<BatchReport>,
-    /// Σ predicted assembly seconds over the explicit decisions.
-    pub predicted_assembly_seconds: f64,
-    /// Realized simulated makespan of the explicit-GPU share.
-    pub realized_gpu_assembly_seconds: f64,
-    /// Realized host wall seconds of the explicit-CPU share.
-    pub realized_cpu_assembly_seconds: f64,
-    /// Largest per-device temporary-arena high water of the GPU share,
-    /// bytes.
-    pub arena_high_water: usize,
-}
-
-impl HybridReport {
-    /// Number of subdomains realized with the given formulation.
-    pub fn count_of(&self, f: Formulation) -> usize {
-        self.plan.count_of(f)
-    }
-
-    /// Predicted cost-to-solution at `iters` operator applications (see
-    /// [`HybridPlan::cost_at`]); compare against the expected-iteration
-    /// input and the realized [`PcpgStats::operator_applications`].
-    ///
-    /// [`PcpgStats::operator_applications`]: crate::pcpg::PcpgStats::operator_applications
-    pub fn predicted_cost_at(&self, iters: f64) -> f64 {
-        self.plan.cost_at(iters)
-    }
-
-    /// Subdomain indices that fit no device arena and therefore could never
-    /// be assembled explicitly on the pool (the recoverable spill set).
-    pub fn spilled(&self) -> &[usize] {
-        &self.plan.spilled
-    }
-}
-
 /// Per-subdomain operator dispatch slot of the explicit/hybrid modes.
 // Variant sizes differ by design, mirroring DualOperator: slots live in one
 // short per-subdomain Vec, boxing would only add indirection.
@@ -260,15 +166,6 @@ impl OpSlot {
             scratch: std::sync::Mutex::new(Vec::new()),
         }
     }
-}
-
-/// The resolved execution plan of one solver build: assembly configuration,
-/// execution target, formulation. Built by [`FetiSolverBuilder`] or
-/// translated from the legacy [`DualMode`] selector.
-pub(crate) struct ExecPlan {
-    pub(crate) cfg: ScConfig,
-    pub(crate) backend: Backend,
-    pub(crate) formulation: FormulationChoice,
 }
 
 /// Composable construction of a preprocessed [`FetiSolver`]:
@@ -316,8 +213,7 @@ impl FetiSolverBuilder {
     }
 
     /// Set the scalar solver options (engine, ordering, preconditioner,
-    /// tolerance, iteration budget) — taken exactly once; the legacy
-    /// `dual` field is ignored here.
+    /// tolerance, iteration budget) — taken exactly once.
     pub fn options(mut self, opts: FetiOptions) -> Self {
         self.opts = opts;
         self
@@ -366,55 +262,8 @@ impl FetiSolverBuilder {
 
     /// Run preprocessing and return the reusable solver handle.
     pub fn build<'p>(self, problem: &'p HeatProblem) -> FetiSolver<'p> {
-        let mut backend = self.backend.unwrap_or_else(Backend::cpu);
-        if let Some(p) = self.precision {
-            backend.precision = p;
-        }
-        let plan = ExecPlan {
-            cfg: self.cfg,
-            backend,
-            formulation: self.formulation,
-        };
-        FetiSolver::build_with_plan_prepared(problem, self.opts, plan, self.factors)
+        FetiSolver::build(problem, self)
     }
-}
-
-/// Remap a share-local [`BatchReport`]'s subdomain indices to problem-global
-/// ones through `map` (timings re-sorted into global order).
-fn remap_batch_report(mut rep: BatchReport, map: &[usize]) -> BatchReport {
-    for t in &mut rep.timings {
-        t.index = map[t.index];
-    }
-    for e in &mut rep.schedule {
-        e.index = map[e.index];
-    }
-    rep.timings.sort_by_key(|t| t.index);
-    rep
-}
-
-/// Remap a share-local [`ClusterReport`] to problem-global indices:
-/// per-device reports and the partition go through `map`, `device_of` is
-/// re-expanded to `n_total` entries with `usize::MAX` for subdomains outside
-/// the share.
-fn remap_cluster_report(mut rep: ClusterReport, map: &[usize], n_total: usize) -> ClusterReport {
-    rep.per_device = rep
-        .per_device
-        .into_iter()
-        .map(|r| remap_batch_report(r, map))
-        .collect();
-    for part in &mut rep.partition {
-        for g in part.iter_mut() {
-            *g = map[*g];
-        }
-    }
-    let mut device_of = vec![usize::MAX; n_total];
-    for (local, d) in rep.device_of.iter().enumerate() {
-        if *d != usize::MAX {
-            device_of[map[local]] = *d;
-        }
-    }
-    rep.device_of = device_of;
-    rep
 }
 
 /// Simulated inter-node boundary exchange of the multi-node backend's
@@ -540,37 +389,27 @@ pub struct FetiSolver<'p> {
     /// Simulated PCPG boundary-exchange overlap; `Some` exactly when the
     /// backend is a multi-node pool with device-resident operators.
     exchange_sim: Option<ExchangeSim>,
-    /// Legacy report shapes, derived once for the deprecated accessors.
-    legacy_assembly: Option<BatchReport>,
-    legacy_cluster: Option<ClusterReport>,
-    legacy_hybrid: Option<HybridReport>,
 }
 
 impl<'p> FetiSolver<'p> {
-    /// Run the initialization + preprocessing stages (paper §2.2) honouring
-    /// the legacy [`FetiOptions::dual`] selector. Options are captured
-    /// here, once — [`FetiSolver::solve`] takes no arguments. New code
-    /// should prefer [`FetiSolverBuilder`].
-    pub fn new(problem: &'p HeatProblem, opts: &FetiOptions) -> Self {
-        let plan = crate::compat::plan_of(opts);
-        Self::build_with_plan(problem, opts.clone(), plan)
-    }
-
-    pub(crate) fn build_with_plan(
-        problem: &'p HeatProblem,
-        opts: FetiOptions,
-        plan: ExecPlan,
-    ) -> Self {
-        Self::build_with_plan_prepared(problem, opts, plan, None)
-    }
-
-    pub(crate) fn build_with_plan_prepared(
-        problem: &'p HeatProblem,
-        opts: FetiOptions,
-        plan: ExecPlan,
-        prepared: Option<Arc<Vec<SubdomainFactors>>>,
-    ) -> Self {
-        let precision = plan.backend.precision;
+    /// Run the initialization + preprocessing stages (paper §2.2) as the
+    /// builder configured them, reusing its prepared factorizations when
+    /// given. Options are captured here, once — [`FetiSolver::solve`]
+    /// takes no arguments.
+    fn build(problem: &'p HeatProblem, builder: FetiSolverBuilder) -> Self {
+        let FetiSolverBuilder {
+            opts,
+            cfg,
+            backend,
+            formulation,
+            precision,
+            factors: prepared,
+        } = builder;
+        let mut backend = backend.unwrap_or_else(Backend::cpu);
+        if let Some(p) = precision {
+            backend.precision = p;
+        }
+        let precision = backend.precision;
         // per-subdomain factorizations in parallel (the paper's loop over the
         // cluster's subdomains, one thread per subdomain) — unless a
         // session cache already holds the bundle for this exact problem
@@ -590,14 +429,13 @@ impl<'p> FetiSolver<'p> {
         );
 
         // dual operators: the explicit formulations pre-assemble the dense
-        // F̃ᵢ through one AssemblySession on the plan's backend; the
+        // F̃ᵢ through one AssemblySession on the builder's backend; the
         // implicit formulation reuses `factors` directly at application time
         let mut report: Option<AssemblyReport> = None;
-        let mut legacy_hybrid: Option<HybridReport> = None;
-        let explicit_ops: Option<Vec<OpSlot>> = match &plan.formulation {
+        let explicit_ops: Option<Vec<OpSlot>> = match &formulation {
             FormulationChoice::Implicit => None,
             FormulationChoice::Explicit => {
-                let session = AssemblySession::new(plan.backend.clone(), plan.cfg);
+                let session = AssemblySession::new(backend.clone(), cfg);
                 let res = session.assemble(LazyBatch::new(
                     &factors,
                     // each task extracts its own factor copy, so peak memory
@@ -605,36 +443,15 @@ impl<'p> FetiSolver<'p> {
                     |_, f: &SubdomainFactors| Cow::Owned(f.chol.factor_csc()),
                     |f| &f.bt_perm,
                 ));
-                let ops = bind_ops(res.f, &res.report, &plan.backend);
+                let ops = bind_ops(res.f, &res.report, &backend);
                 report = Some(res.report);
                 Some(ops)
             }
             FormulationChoice::Auto(plan_opts) => {
-                let (ops, unified, hybrid) =
-                    assemble_auto(&factors, &plan.cfg, &plan.backend, plan_opts);
+                let (ops, unified) = assemble_auto(&factors, &cfg, &backend, plan_opts);
                 report = Some(unified);
-                legacy_hybrid = Some(hybrid);
                 Some(ops)
             }
-        };
-
-        // derive the legacy report shapes once, for the deprecated accessors
-        let (legacy_assembly, legacy_cluster) = match (&plan.formulation, &report) {
-            (FormulationChoice::Explicit, Some(rep)) => {
-                let cluster = match &plan.backend.target {
-                    Target::Cluster { .. } | Target::Hybrid { .. } => rep.to_cluster_report(),
-                    _ => None,
-                };
-                (Some(rep.to_batch_report()), cluster)
-            }
-            (FormulationChoice::Auto(_), Some(rep)) => {
-                let any_explicit = !rep.subdomains.is_empty();
-                (
-                    any_explicit.then(|| rep.to_batch_report()),
-                    legacy_hybrid.as_ref().and_then(|h| h.cluster.clone()),
-                )
-            }
-            _ => (None, None),
         };
 
         // kernel numbering and G = B R (kernel = constant vector: G entries
@@ -702,7 +519,7 @@ impl<'p> FetiSolver<'p> {
 
         // the multi-node backend overlaps PCPG boundary exchanges with the
         // local applies; every other target leaves the solve untouched
-        let exchange_sim = match &plan.backend.target {
+        let exchange_sim = match &backend.target {
             Target::MultiNode { pool, .. } if pool.n_nodes() > 1 => report
                 .as_ref()
                 .filter(|rep| !rep.nodes.is_empty())
@@ -724,9 +541,6 @@ impl<'p> FetiSolver<'p> {
             e: Vec::new(),
             report,
             exchange_sim,
-            legacy_assembly,
-            legacy_cluster,
-            legacy_hybrid,
         };
         // dual + coarse right-hand sides of the problem's own loads (any
         // other loads go through solve_rhs, which recomputes both)
@@ -742,26 +556,6 @@ impl<'p> FetiSolver<'p> {
     /// operator is applied implicitly (nothing was assembled).
     pub fn report(&self) -> Option<&AssemblyReport> {
         self.report.as_ref()
-    }
-
-    /// Diagnostics of the batched explicit assembly, in the legacy
-    /// single-target shape.
-    #[deprecated(since = "0.2.0", note = "use FetiSolver::report")]
-    pub fn assembly_report(&self) -> Option<&BatchReport> {
-        self.legacy_assembly.as_ref()
-    }
-
-    /// Per-device diagnostics of the cluster-sharded assembly, in the
-    /// legacy shape.
-    #[deprecated(since = "0.2.0", note = "use FetiSolver::report")]
-    pub fn cluster_report(&self) -> Option<&ClusterReport> {
-        self.legacy_cluster.as_ref()
-    }
-
-    /// Decision/cost roll-up of the hybrid mode, in the legacy shape.
-    #[deprecated(since = "0.2.0", note = "use FetiSolver::report")]
-    pub fn hybrid_report(&self) -> Option<&HybridReport> {
-        self.legacy_hybrid.as_ref()
     }
 
     /// The options captured at construction.
@@ -912,8 +706,7 @@ impl<'p> FetiSolver<'p> {
     /// Full FETI solve of the problem's own loads: PCPG on the dual, then
     /// primal recovery. Uses the options captured at construction.
     pub fn solve(&self) -> FetiSolution {
-        let (d, e) = (self.d.clone(), self.e.clone());
-        self.solve_inner(&self.opts, &d, &e, None)
+        self.solve_inner(&self.d, &self.e, None)
     }
 
     /// Solve for **new per-subdomain loads** without repeating any
@@ -945,27 +738,10 @@ impl<'p> FetiSolver<'p> {
             );
         }
         let (d, e) = self.rhs_setup(Some(f_locals));
-        self.solve_inner(&self.opts, &d, &e, Some(f_locals))
+        self.solve_inner(&d, &e, Some(f_locals))
     }
 
-    /// Legacy entry point honouring per-call options; `solve()` (no
-    /// arguments, options captured at construction) replaces it.
-    #[deprecated(
-        since = "0.2.0",
-        note = "options are captured at construction; call FetiSolver::solve()"
-    )]
-    pub fn solve_with(&self, opts: &FetiOptions) -> FetiSolution {
-        let (d, e) = (self.d.clone(), self.e.clone());
-        self.solve_inner(opts, &d, &e, None)
-    }
-
-    fn solve_inner(
-        &self,
-        opts: &FetiOptions,
-        d: &[f64],
-        e: &[f64],
-        f_locals: Option<&[Vec<f64>]>,
-    ) -> FetiSolution {
+    fn solve_inner(&self, d: &[f64], e: &[f64], f_locals: Option<&[Vec<f64>]>) -> FetiSolution {
         // λ0 = G (GᵀG)⁻¹ e satisfies Gᵀ λ0 = e (Eq. 4)
         let lambda0 = if self.n_kernels() == 0 {
             vec![0.0; self.problem.n_lambda]
@@ -982,13 +758,13 @@ impl<'p> FetiSolver<'p> {
         }
         let (lambda, mut stats, refinement) = match self.precision {
             Precision::F64 => {
-                let res = self.pcpg_f64(opts, d, lambda0);
+                let res = self.pcpg_f64(d, lambda0);
                 (res.lambda, res.stats, None)
             }
             Precision::F32Refined {
                 refine_tol,
                 max_refine,
-            } => self.solve_refined(opts, d, lambda0, refine_tol, max_refine),
+            } => self.solve_refined(d, lambda0, refine_tol, max_refine),
         };
         if let Some(sim) = &self.exchange_sim {
             stats.exchange_stall_seconds = sim.drain();
@@ -1004,12 +780,8 @@ impl<'p> FetiSolver<'p> {
 
     /// The full-`f64` PCPG solve (the historical path; also the
     /// mixed-precision fallback).
-    fn pcpg_f64(
-        &self,
-        opts: &FetiOptions,
-        d: &[f64],
-        lambda0: Vec<f64>,
-    ) -> crate::pcpg::PcpgResult {
+    fn pcpg_f64(&self, d: &[f64], lambda0: Vec<f64>) -> crate::pcpg::PcpgResult {
+        let opts = &self.opts;
         crate::pcpg::pcpg_preconditioned(
             d,
             lambda0,
@@ -1063,12 +835,12 @@ impl<'p> FetiSolver<'p> {
     /// back to the full-`f64` PCPG from the best iterate.
     fn solve_refined(
         &self,
-        opts: &FetiOptions,
         d: &[f64],
         lambda0: Vec<f64>,
         refine_tol: f64,
         max_refine: usize,
     ) -> (Vec<f64>, PcpgStats, Option<RefinementStats>) {
+        let opts = &self.opts;
         let m = d.len();
         let norm0 = {
             let pd = self.project(d);
@@ -1167,7 +939,7 @@ impl<'p> FetiSolver<'p> {
             // refinement failed to reach the target: fall back to the
             // historical full-f64 PCPG from the best iterate (Gᵀλ = e still
             // holds, so it is a legal warm start)
-            let res = self.pcpg_f64(opts, d, lambda);
+            let res = self.pcpg_f64(d, lambda);
             let refinement = RefinementStats {
                 outer_iterations: outer,
                 inner_iterations: inner_total,
@@ -1306,13 +1078,13 @@ fn bind_ops(f: Vec<Mat>, report: &AssemblyReport, backend: &Backend) -> Vec<OpSl
 /// The auto (hybrid) formulation: per-subdomain explicit-vs-implicit
 /// decision under the §4.4 cost model, explicit shares assembled through
 /// sessions on the backend, reports merged into one [`AssemblyReport`]
-/// (problem-global indices) plus the legacy [`HybridReport`].
+/// (problem-global indices).
 fn assemble_auto(
     factors: &[SubdomainFactors],
     cfg: &ScConfig,
     backend: &Backend,
     plan_opts: &HybridPlanOptions,
-) -> (Vec<OpSlot>, AssemblyReport, HybridReport) {
+) -> (Vec<OpSlot>, AssemblyReport) {
     // the pool the explicit-GPU share may run on: the backend's own pool, a
     // single-device pool for the GPU backend, or an empty pool on the host
     let (pool, cluster_opts): (Arc<DevicePool>, ClusterOptions) = match &backend.target {
@@ -1385,7 +1157,6 @@ fn assemble_auto(
     // explicit-GPU share through a cluster session (two-level plan, arena
     // admission, record/replay — bitwise CPU-equal)
     let mut gpu_report: Option<AssemblyReport> = None;
-    let mut gpu_cluster_legacy: Option<ClusterReport> = None;
     if !gpu_idx.is_empty() {
         let mut share_opts = cluster_opts.clone();
         share_opts.ready_at = cluster_opts
@@ -1411,10 +1182,6 @@ fn assemble_auto(
                 kernels: GpuKernels::new(pool.device(dev).stream(stream)),
             });
         }
-        gpu_cluster_legacy = res
-            .report
-            .to_cluster_report()
-            .map(|c| remap_cluster_report(c, &gpu_idx, factors.len()));
         let mut rep = res.report;
         rep.remap_indices(&gpu_idx);
         gpu_report = Some(rep);
@@ -1423,7 +1190,6 @@ fn assemble_auto(
     // explicit-CPU share (the spill fail-over for high iteration counts)
     // through a CPU session
     let mut cpu_report: Option<AssemblyReport> = None;
-    let mut cpu_batch_legacy: Option<BatchReport> = None;
     if !cpu_idx.is_empty() {
         let cpu_items: Vec<&SubdomainFactors> = cpu_idx.iter().map(|&g| &factors[g]).collect();
         let session = AssemblySession::new(Backend::cpu().precision(backend.precision), *cfg);
@@ -1435,7 +1201,6 @@ fn assemble_auto(
         for (local, mat) in res.f.into_iter().enumerate() {
             ops[cpu_idx[local]] = OpSlot::Own(DualOperator::ExplicitCpu(mat));
         }
-        cpu_batch_legacy = Some(remap_batch_report(res.report.to_batch_report(), &cpu_idx));
         let mut rep = res.report;
         rep.remap_indices(&cpu_idx);
         cpu_report = Some(rep);
@@ -1471,26 +1236,16 @@ fn assemble_auto(
     let arena_high_water = gpu_report.as_ref().map_or(0, |g| g.temp_high_water());
     unified.precision = backend.precision;
     unified.hybrid = Some(HybridSummary {
-        plan: Some(plan.clone()),
         formulation: plan.choices.iter().map(|c| c.formulation).collect(),
         spilled: plan.spilled.clone(),
+        plan: Some(plan),
         predicted_assembly_seconds,
         realized_gpu_seconds: realized_gpu,
         realized_cpu_seconds: realized_cpu,
         arena_high_water,
         precision: backend.precision,
     });
-
-    let legacy = HybridReport {
-        cluster: gpu_cluster_legacy,
-        cpu_batch: cpu_batch_legacy,
-        predicted_assembly_seconds,
-        realized_gpu_assembly_seconds: realized_gpu,
-        realized_cpu_assembly_seconds: realized_cpu,
-        arena_high_water,
-        plan,
-    };
-    (ops, unified, legacy)
+    (ops, unified)
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //! serialization, and arena oversubscription the way `compute-sanitizer` or
 //! TSan would on real hardware.
 //!
-//! Traces are attached to batch reports by the scheduled drivers
-//! (`BatchReport::trace` in `sc_core`), one per device replay; slot ids are
+//! Traces are attached to assembly reports by the scheduled drivers
+//! (`DeviceReport::trace` in `sc_core`), one per device replay; slot ids are
 //! replay-local subdomain positions.
 
 use crate::timeline::SimSpan;

@@ -81,28 +81,19 @@ pub mod prelude {
     pub use sc_core::{
         assemble_sc, estimate_apply, estimate_cost, plan_hybrid, plan_topology, plan_topology_by,
         ApplyEstimate, AssemblyReport, AssemblyResult, AssemblySession, Backend, BatchItem,
-        BatchReport, BatchResult, BatchSource, BlockCutsCache, BlockParam, ClusterOptions,
-        ClusterPlan, ClusterPlanError, ClusterReport, ClusterResult, CostEstimate, CpuExec,
-        DeviceReport, DeviceSlot, FactorStorage, Formulation, GpuExec, HybridForce, HybridPlan,
-        HybridPlanOptions, HybridSummary, IntoBatchSource, LazyBatch, NodeReport, Precision,
-        RecordingExec, ScConfig, ScParams, ScheduleOptions, ScheduledSpan, SteppedRhs, StreamLane,
-        StreamPolicy, SubdomainTiming, SyrkVariant, TopoPlan, Topology, TrsmVariant,
-    };
-    // deprecated free-function drivers and planners, kept one release for
-    // migration (the planners are now thin wrappers over `plan_topology`)
-    #[allow(deprecated)]
-    pub use sc_core::{
-        assemble_sc_batch, assemble_sc_batch_cluster, assemble_sc_batch_gpu,
-        assemble_sc_batch_scheduled, plan_cluster, plan_cluster_spill,
+        BatchSource, BlockCutsCache, BlockParam, ClusterOptions, ClusterPlanError, CostEstimate,
+        CpuExec, DeviceReport, DeviceSlot, FactorStorage, Formulation, GpuExec, HybridForce,
+        HybridPlan, HybridPlanOptions, HybridSummary, IntoBatchSource, LazyBatch, NodeReport,
+        Precision, RecordingExec, ScConfig, ScParams, ScheduleOptions, ScheduledSpan, SteppedRhs,
+        StreamLane, StreamPolicy, SubdomainTiming, SyrkVariant, TopoPlan, Topology, TrsmVariant,
     };
     pub use sc_dense::Mat;
     pub use sc_factor::{CholOptions, Engine, SparseCholesky};
     pub use sc_fem::{Gluing, HeatProblem};
-    pub use sc_feti::solver::DualMode;
     pub use sc_feti::{
         apply_implicit, apply_implicit_with, preprocess_approach, BoundaryMap, DualOpApproach,
         DualOperator, FetiOptions, FetiSolution, FetiSolver, FetiSolverBuilder, FormulationChoice,
-        HybridOptions, HybridReport, PcpgBreakdown, RefinementStats, SubdomainFactors,
+        PcpgBreakdown, RefinementStats, SubdomainFactors,
     };
     pub use sc_gpu::{
         Device, DevicePool, DeviceSpec, GpuKernels, Interconnect, NodePool, NodeSpec,

@@ -1,29 +1,21 @@
 //! API-surface snapshot of the unified `Backend` + `AssemblySession` +
-//! `FetiSolverBuilder` redesign:
+//! `FetiSolverBuilder` surface:
 //!
-//! 1. **compile-time** — every `schur_dd::prelude` re-export exists and the
-//!    deprecated free-function shims keep their exact signatures (the
-//!    function-pointer bindings below fail to compile on any drift);
-//! 2. **runtime** — the deprecated shims (`assemble_sc_batch*`, `DualMode`
-//!    construction, `FetiSolver::solve_with`) produce **bitwise identical**
-//!    `F̃` / operator applications to the new `AssemblySession` /
-//!    `FetiSolverBuilder` paths, proptested over mixed workloads.
-//!
-//! Together with `crates/feti/src/compat.rs`, this file is the only place
-//! allowed to `allow(deprecated)` (enforced by the CI deprecation-budget
-//! check).
-#![allow(deprecated)]
+//! 1. **compile-time** — every `schur_dd::prelude` re-export exists (the
+//!    type and function-pointer bindings below fail to compile on any
+//!    drift);
+//! 2. **runtime** — every device-backed `Backend` assembles bitwise the
+//!    same `F̃` as `Backend::cpu()`, proptested over mixed workloads.
 
 use proptest::prelude::*;
 use schur_dd::prelude::*;
 use schur_dd::sc_sparse::Coo;
-use std::sync::Arc;
 
-/// The prelude's new-surface items, referenced so a dropped re-export is a
-/// compile error; the deprecated shims are pinned by exact signature.
+/// The prelude's items, referenced so a dropped re-export is a compile
+/// error.
 #[test]
 fn prelude_surface_is_complete() {
-    // new unified surface — type positions
+    // unified surface — type positions
     fn _session_types(
         _: &AssemblySession,
         _: &AssemblyResult,
@@ -44,16 +36,11 @@ fn prelude_surface_is_complete() {
             |(_, bt)| bt,
         )
     }
-    // deprecated shims keep their signatures for one release
-    let _: fn(&[BatchItem<'_>], &ScConfig) -> BatchResult = assemble_sc_batch;
-    let _: fn(&[BatchItem<'_>], &ScConfig, &Arc<Device>) -> BatchResult = assemble_sc_batch_gpu;
-    let _: fn(&[BatchItem<'_>], &ScConfig, &Arc<Device>, &ScheduleOptions) -> BatchResult =
-        assemble_sc_batch_scheduled;
-    let _: fn(&[BatchItem<'_>], &ScConfig, &DevicePool, &ClusterOptions) -> ClusterResult =
-        assemble_sc_batch_cluster;
-    // legacy report types still reachable (they back the deprecated
-    // accessors and live nested inside AssemblyReport conversions)
-    fn _legacy(_: &BatchReport, _: &ClusterReport, _: &SubdomainTiming, _: &HybridReport) {}
+    // per-subdomain timings live inside the one report type
+    fn _timing(r: &AssemblyReport) -> Option<&SubdomainTiming> {
+        r.subdomains.first()
+    }
+    let _: fn(&AssemblyReport, usize) -> Option<usize> = AssemblyReport::device_of;
     // options structs carry the unified with_* builder surface
     let _ = ScheduleOptions::default().with_policy(StreamPolicy::RoundRobin);
     let _ = ClusterOptions::default().with_ready_at(Vec::new());
@@ -67,9 +54,6 @@ fn prelude_surface_is_complete() {
         .with_preconditioner(sc_feti_preconditioner())
         .with_tol(1e-8)
         .with_max_iter(10);
-    let _ = HybridOptions::default()
-        .with_plan(HybridPlanOptions::default())
-        .with_cluster(ClusterOptions::default());
     let _ = [
         Backend::cpu(),
         Backend::cpu_with_threads(2),
@@ -146,162 +130,52 @@ fn mixed_workload() -> impl Strategy<Value = Vec<(Csc, Csc)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Every deprecated free-function driver produces bitwise-identical F̃
-    /// to the AssemblySession path on the corresponding Backend, over mixed
-    /// workloads and both fixed and auto configurations.
+    /// Every device-backed target — one GPU under LPT and round-robin
+    /// stream assignment, a device pool, and the spill-tolerant hybrid
+    /// pool — produces bitwise-identical F̃ to the CPU target, over mixed
+    /// workloads. `ScConfig::Auto` resolves its kernels per platform, so
+    /// under it the device targets pin to the LPT GPU run instead (and the
+    /// fixed configurations pin them to the host).
     #[test]
-    fn deprecated_shims_are_bitwise_the_session_paths(
+    fn every_backend_is_bitwise_the_cpu_path(
         data in mixed_workload(),
-        auto_cfg in prop::bool::ANY,
+        cfg_pick in 0usize..4,
         n_streams in 1usize..4,
         n_devices in 1usize..4,
     ) {
         let items: Vec<BatchItem<'_>> =
             data.iter().map(|(l, bt)| BatchItem { l, bt }).collect();
-        let cfg = if auto_cfg { ScConfig::Auto } else { ScConfig::optimized(true, false) };
+        let cfg = [
+            ScConfig::optimized(true, false),
+            ScConfig::optimized(false, true),
+            ScConfig::original(FactorStorage::Sparse),
+            ScConfig::Auto,
+        ][cfg_pick];
 
-        // CPU
-        let old = assemble_sc_batch(&items, &cfg);
-        let new = AssemblySession::new(Backend::cpu(), cfg).assemble(&items);
-        for i in 0..items.len() {
-            prop_assert_eq!(&old.f[i], &new.f[i], "cpu shim deviates at {}", i);
+        let cpu = AssemblySession::new(Backend::cpu(), cfg).assemble(&items);
+        let mut runs: Vec<(String, Vec<Mat>)> = Vec::new();
+        for policy in [StreamPolicy::LptLeastLoaded, StreamPolicy::RoundRobin] {
+            let backend = Backend::gpu_with(
+                Device::new(DeviceSpec::a100(), n_streams),
+                ScheduleOptions::default().with_policy(policy),
+            );
+            let res = AssemblySession::new(backend, cfg).assemble(&items);
+            runs.push((format!("gpu {policy:?}"), res.f));
         }
+        let pool = DevicePool::uniform(DeviceSpec::a100(), n_devices, n_streams);
+        let res = AssemblySession::new(Backend::cluster(pool), cfg).assemble(&items);
+        runs.push(("cluster".to_string(), res.f));
+        let pool = DevicePool::uniform(DeviceSpec::a100(), n_devices, n_streams);
+        let res = AssemblySession::new(Backend::hybrid(pool), cfg).assemble(&items);
+        runs.push(("hybrid".to_string(), res.f));
 
-        // GPU: live round-robin shim vs the scheduled session (any policy)
-        let dev_old = Device::new(DeviceSpec::a100(), n_streams);
-        let old = assemble_sc_batch_gpu(&items, &cfg, &dev_old);
-        let dev_new = Device::new(DeviceSpec::a100(), n_streams);
-        let gpu = AssemblySession::new(Backend::gpu(dev_new), cfg).assemble(&items);
-        for i in 0..items.len() {
-            prop_assert_eq!(&old.f[i], &gpu.f[i], "gpu shim deviates at {}", i);
-        }
-
-        // scheduled shim vs the Gpu backend with identical options
-        let opts = ScheduleOptions::default().with_policy(StreamPolicy::RoundRobin);
-        let dev_old = Device::new(DeviceSpec::a100(), n_streams);
-        let old = assemble_sc_batch_scheduled(&items, &cfg, &dev_old, &opts);
-        let dev_new = Device::new(DeviceSpec::a100(), n_streams);
-        let new = AssemblySession::new(
-            Backend::gpu_with(std::sync::Arc::clone(&dev_new), opts),
-            cfg,
-        )
-        .assemble(&items);
-        prop_assert_eq!(dev_old.synchronize(), dev_new.synchronize(),
-            "shim and session must replay the same simulated timeline");
-        for i in 0..items.len() {
-            prop_assert_eq!(&old.f[i], &new.f[i], "scheduled shim deviates at {}", i);
-        }
-
-        // cluster shim vs the Cluster backend
-        let pool_old = DevicePool::uniform(DeviceSpec::a100(), n_devices, n_streams);
-        let old = assemble_sc_batch_cluster(&items, &cfg, &pool_old, &ClusterOptions::default());
-        let pool_new = DevicePool::uniform(DeviceSpec::a100(), n_devices, n_streams);
-        let new = AssemblySession::new(Backend::cluster(pool_new), cfg).assemble(&items);
-        prop_assert_eq!(old.report.makespan, new.report.makespan);
-        for i in 0..items.len() {
-            prop_assert_eq!(&old.f[i], &new.f[i], "cluster shim deviates at {}", i);
+        let reference = if matches!(cfg, ScConfig::Auto) { &runs[0].1 } else { &cpu.f };
+        prop_assert_eq!(cpu.f.len(), items.len());
+        for (name, f) in &runs {
+            prop_assert_eq!(f.len(), items.len());
+            for i in 0..items.len() {
+                prop_assert_eq!(&reference[i], &f[i], "{} deviates at {}", name, i);
+            }
         }
     }
-}
-
-/// Deprecated `DualMode` construction still compiles (with a warning) and
-/// the resulting solver applies the dual operator bitwise like the
-/// builder-built one; `solve_with` matches `solve()` bitwise.
-#[test]
-fn dual_mode_shims_are_bitwise_the_builder_paths() {
-    let p = HeatProblem::build_2d(4, (2, 2), Gluing::Redundant);
-    let dev = Device::new(DeviceSpec::a100(), 2);
-    let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
-    let cfg = ScConfig::optimized(true, false);
-    let lam: Vec<f64> = (0..p.n_lambda).map(|i| (i as f64 * 0.29).sin()).collect();
-
-    let cases: Vec<(DualMode, Backend, FormulationChoice)> = vec![
-        (
-            DualMode::Implicit,
-            Backend::cpu(),
-            FormulationChoice::Implicit,
-        ),
-        (
-            DualMode::ExplicitCpu(cfg),
-            Backend::cpu(),
-            FormulationChoice::Explicit,
-        ),
-        (
-            DualMode::ExplicitGpu(cfg, Arc::clone(&dev)),
-            Backend::gpu(Device::new(DeviceSpec::a100(), 2)),
-            FormulationChoice::Explicit,
-        ),
-        (
-            DualMode::ExplicitGpuScheduled(cfg, Arc::clone(&dev), ScheduleOptions::default()),
-            Backend::gpu(Device::new(DeviceSpec::a100(), 2)),
-            FormulationChoice::Explicit,
-        ),
-        (
-            DualMode::ExplicitGpuCluster {
-                cfg,
-                pool: Arc::clone(&pool),
-                opts: ClusterOptions::default(),
-            },
-            Backend::cluster(DevicePool::uniform(DeviceSpec::a100(), 2, 2)),
-            FormulationChoice::Explicit,
-        ),
-        (
-            DualMode::Hybrid {
-                cfg,
-                pool: Arc::clone(&pool),
-                opts: HybridOptions::default(),
-            },
-            Backend::cluster(DevicePool::uniform(DeviceSpec::a100(), 2, 2)),
-            FormulationChoice::Auto(HybridPlanOptions::default()),
-        ),
-    ];
-    for (k, (dual, backend, formulation)) in cases.into_iter().enumerate() {
-        let opts = FetiOptions {
-            dual,
-            ..Default::default()
-        };
-        let legacy = FetiSolver::new(&p, &opts);
-        let modern = FetiSolverBuilder::new()
-            .backend(backend)
-            .formulation(formulation)
-            .assembly(cfg)
-            .build(&p);
-        assert_eq!(
-            legacy.apply_f(&lam),
-            modern.apply_f(&lam),
-            "case {k}: legacy DualMode apply deviates from the builder path"
-        );
-        // solve_with (deprecated) == solve() bitwise on the same handle
-        let a = legacy.solve_with(&opts);
-        let b = legacy.solve();
-        assert_eq!(a.lambda, b.lambda, "case {k}: solve_with deviates");
-        assert_eq!(a.u_locals, b.u_locals, "case {k}");
-        // and both entry points solve the problem
-        assert!(b.stats.converged, "case {k}: {:?}", b.stats);
-        let c = modern.solve();
-        assert_eq!(
-            p.gather_global(&b.u_locals),
-            p.gather_global(&c.u_locals),
-            "case {k}: legacy and modern solutions deviate"
-        );
-    }
-}
-
-/// The deprecated report accessors stay consistent with the unified report.
-#[test]
-fn legacy_report_accessors_match_the_unified_report() {
-    let p = HeatProblem::build_3d(2, (2, 2, 1), Gluing::Redundant);
-    let pool = DevicePool::uniform(DeviceSpec::a100(), 2, 2);
-    let solver = FetiSolverBuilder::new()
-        .backend(Backend::cluster(pool))
-        .formulation(FormulationChoice::Explicit)
-        .assembly(ScConfig::optimized(true, true))
-        .build(&p);
-    let unified = solver.report().expect("explicit mode reports");
-    let batch = solver.assembly_report().expect("legacy accessor populated");
-    assert_eq!(batch.timings.len(), unified.subdomains.len());
-    assert_eq!(batch.device_seconds, unified.makespan);
-    let cluster = solver.cluster_report().expect("legacy cluster populated");
-    assert_eq!(cluster.n_devices(), unified.devices.len());
-    assert_eq!(cluster.makespan, unified.makespan);
 }

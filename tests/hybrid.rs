@@ -237,6 +237,21 @@ fn hybrid_solver_end_to_end_invariants() {
         assert_eq!(report.spilled.contains(&i), t > arena, "subdomain {i}");
     }
 
+    // device_of looks a subdomain up by its batch index: it agrees with the
+    // timing carrying that index, and implicit subdomains (which have no
+    // timing) ran on no device
+    for i in 0..n {
+        let timing = unified.subdomains.iter().find(|t| t.index == i);
+        assert_eq!(
+            unified.device_of(i),
+            timing.and_then(|t| t.device),
+            "subdomain {i}"
+        );
+        if report.formulation[i] == Formulation::Implicit {
+            assert_eq!(unified.device_of(i), None, "implicit subdomain {i}");
+        }
+    }
+
     // no explicit placement oversubscribes its device arena
     assert!(report.arena_high_water <= arena);
     assert!(!unified.devices.is_empty(), "gpu share ran");
