@@ -2,7 +2,7 @@
 //! references, and the measured-rate calibration against the nominal host
 //! cost model.
 //!
-//! Three hard gates (non-zero exit on regression):
+//! Four hard gates (non-zero exit on regression):
 //!
 //! 1. **blocked gemm ≥ [`GEMM_GATE`]× scalar** at `n = 512` (best-of-N
 //!    wall clock on both sides, so one noisy scalar run cannot flip the
@@ -19,12 +19,21 @@
 //!    `HeatProblem::build_2d(16, (4, 4))` (explicit CPU operator) with the
 //!    default thread count must stay within [`PCPG_PARALLEL_GATE`]× the
 //!    same solve under `rayon::with_max_threads(1)`. The best-of-N empty
-//!    64-item fan-out of the parallel runtime is reported beside it.
+//!    64-item fan-out of the parallel runtime is reported beside it;
+//! 4. **SYRK is no slower than the full gemm it halves**: at the
+//!    `assembly3d` input-split shape (`A` = 200 × 520) the best-of-N
+//!    `syrk_t(Aᵀ A)` must take at most [`SYRK_GATE`]× the best-of-N
+//!    `gemm_blocked(Aᵀ, A)`. SYRK computes only the lower triangle, so a
+//!    SYRK that leaves the microkernel or packs more than the gemm shows
+//!    up here first.
 //!
 //! The remaining kernel classes (TRSM, SYRK, partial Cholesky, binned
 //! SpMV) are reported for the record without hard gates — their blocked
 //! variants bottom out in the same gemm microkernel, and their
-//! correctness is pinned by the `sc_dense`/`sc_sparse` test suites.
+//! correctness is pinned by the `sc_dense`/`sc_sparse` test suites. So is
+//! `sparse_trsm`: the panelled `csc_lower_solve_mat` on the factor-split
+//! diagonal blocks of a 3D subdomain factor against 512 RHS columns, with
+//! per-column `csc_lower_solve` sweeps as its reference.
 //!
 //! Usage: `cargo run -p sc_bench --release --bin kernels [--n N] [--json PATH]`
 
@@ -32,16 +41,31 @@ use rayon::prelude::*;
 use sc_bench::{bench_record, ms, time_min, write_json, BatchWorkload, Json, Table};
 use sc_core::{estimate_cost, AssemblySession, Backend, MicrokernelRates, ScConfig};
 use sc_dense::{Mat, Trans};
+use sc_factor::Engine;
 use sc_fem::{Gluing, HeatProblem};
-use sc_feti::{FetiSolverBuilder, FormulationChoice};
+use sc_feti::{FetiSolverBuilder, FormulationChoice, SubdomainFactors};
 use sc_gpu::DeviceSpec;
-use sc_sparse::{binned_spmv, BinnedPlan, Coo};
+use sc_order::Ordering;
+use sc_sparse::{binned_spmv, BinnedPlan, Coo, Csc};
 
 /// Minimum admissible blocked/scalar gemm speedup at the gate size.
 const GEMM_GATE: f64 = 3.0;
 
 /// Maximum admissible parallel/serial PCPG time per iteration.
 const PCPG_PARALLEL_GATE: f64 = 1.10;
+
+/// Maximum admissible `syrk_t` / `gemm_blocked(Aᵀ, A)` time at the
+/// input-split shape (SYRK does half the flops).
+const SYRK_GATE: f64 = 1.0;
+
+/// `A` = `SYRK_GATE_K × SYRK_GATE_N` for gate 4: the input-split SYRK
+/// block of `assembly3d` (split 200, 520 multipliers per subdomain).
+const SYRK_GATE_K: usize = 200;
+const SYRK_GATE_N: usize = 520;
+
+/// RHS width and factor-split block order of the `sparse_trsm` row.
+const SPARSE_TRSM_RHS: usize = 512;
+const SPARSE_TRSM_BLOCK: usize = 200;
 
 /// Gate size for the gemm comparison (both paths well past the blocked
 /// routing threshold).
@@ -199,6 +223,51 @@ fn main() {
         blocked_s: chol_blocked_s,
     };
 
+    // panelled sparse TRSM vs per-column sweeps on the factor-split
+    // diagonal blocks of one 3D subdomain factor (the assembly3d shape)
+    let problem3d = HeatProblem::build_3d(12, (2, 2, 2), Gluing::Redundant);
+    let f3d = SubdomainFactors::build(
+        &problem3d.subdomains[0],
+        Engine::Simplicial,
+        Ordering::NestedDissection,
+    );
+    let l3d = f3d.chol.factor_cow();
+    let n3d = l3d.ncols();
+    let dblocks: Vec<(usize, Csc)> = (0..n3d)
+        .step_by(SPARSE_TRSM_BLOCK)
+        .map(|r0| {
+            let r1 = (r0 + SPARSE_TRSM_BLOCK).min(n3d);
+            (r0, l3d.block(r0, r1, r0, r1))
+        })
+        .collect();
+    let sparse_flops: usize = dblocks
+        .iter()
+        .map(|(_, d)| (2 * d.nnz() - d.ncols()) * SPARSE_TRSM_RHS)
+        .sum();
+    let y0 = fill(n3d, SPARSE_TRSM_RHS, 12);
+    let mut y = y0.clone();
+    let sparse_percol_s = time_min(3, || {
+        y.as_mut().copy_from(y0.as_ref());
+        for (r0, d) in &dblocks {
+            for c in 0..SPARSE_TRSM_RHS {
+                sc_sparse::csc_lower_solve(d, &mut y.col_mut(c)[*r0..*r0 + d.ncols()]);
+            }
+        }
+    });
+    let sparse_panel_s = time_min(3, || {
+        y.as_mut().copy_from(y0.as_ref());
+        for (r0, d) in &dblocks {
+            let rows = d.ncols();
+            sc_sparse::csc_lower_solve_mat(d, y.as_mut().into_sub(*r0, 0, rows, SPARSE_TRSM_RHS));
+        }
+    });
+    let sparse_trsm = KernelRow {
+        name: "sparse_trsm",
+        flops: sparse_flops as f64, // sc-analyze: allow(precision-discipline)
+        scalar_s: sparse_percol_s,
+        blocked_s: sparse_panel_s,
+    };
+
     // binned vs plain CSR SpMV on an irregular-row-length matrix (the
     // boundary-map shape: mostly tiny rows of varying length)
     let rows = 40_000;
@@ -229,6 +298,29 @@ fn main() {
         scalar_s: spmv_plain_s,
         blocked_s: spmv_binned_s,
     };
+
+    // SYRK vs the full gemm at the input-split shape (gate 4); alternate
+    // the two sides so a drift in host speed hits both alike
+    let ag = fill(SYRK_GATE_K, SYRK_GATE_N, 13);
+    let mut cg = Mat::zeros(SYRK_GATE_N, SYRK_GATE_N);
+    let (mut gate_syrk_s, mut gate_gemm_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..10 {
+        gate_syrk_s = gate_syrk_s.min(time_min(3, || {
+            sc_dense::syrk_t(1.0, ag.as_ref(), 0.0, cg.as_mut());
+        }));
+        gate_gemm_s = gate_gemm_s.min(time_min(3, || {
+            sc_dense::gemm_blocked(
+                1.0,
+                ag.as_ref(),
+                Trans::Yes,
+                ag.as_ref(),
+                Trans::No,
+                0.0,
+                cg.as_mut(),
+            );
+        }));
+    }
+    let syrk_ratio = gate_syrk_s / gate_gemm_s;
 
     // ---- axis 2: nominal vs calibrated cost-model predictions -----------
     let rates = MicrokernelRates::probe();
@@ -290,7 +382,7 @@ fn main() {
         &format!("Cache-blocked kernels vs scalar references (n = {n}, best-of-N wall clock)"),
         &["kernel", "scalar", "blocked", "speedup", "blocked GF/s"],
     );
-    let kernels = [&gemm, &trsm, &syrk, &chol, &spmv];
+    let kernels = [&gemm, &trsm, &syrk, &chol, &sparse_trsm, &spmv];
     for k in kernels {
         table.row(vec![
             k.name.to_string(),
@@ -310,6 +402,13 @@ fn main() {
         "-".to_string(),
     ]);
     table.emit("kernels");
+    println!(
+        "syrk at the input-split shape (A = {SYRK_GATE_K} x {SYRK_GATE_N}): syrk_t {} vs \
+         gemm_blocked(A^T, A) {} best-of-30 ({:.2}x, gate <= {SYRK_GATE}x).",
+        ms(gate_syrk_s),
+        ms(gate_gemm_s),
+        syrk_ratio,
+    );
     println!(
         "parallel runtime ({} threads): empty 64-item fan-out {:.2} us best-of-200; PCPG on \
          build_2d(16, (4, 4)) over {iters} iterations: {:.1} us/iter with default threads vs \
@@ -373,7 +472,10 @@ fn main() {
                 .field("pcpg_iterations", iters)
                 .field("pcpg_iter_serial_s", pcpg_serial_s)
                 .field("pcpg_iter_parallel_s", pcpg_parallel_s)
-                .field("pcpg_parallel_gate", PCPG_PARALLEL_GATE),
+                .field("pcpg_parallel_gate", PCPG_PARALLEL_GATE)
+                .field("syrk_gate_syrk_s", gate_syrk_s)
+                .field("syrk_gate_gemm_s", gate_gemm_s)
+                .field("syrk_gate", SYRK_GATE),
         );
         if let Err(err) = write_json(path, &record) {
             eprintln!("warning: failed to write {}: {err}", path.display());
@@ -408,6 +510,16 @@ fn main() {
             pcpg_ratio,
             pcpg_parallel_s * 1e6,
             pcpg_serial_s * 1e6,
+        );
+        failed = true;
+    }
+    if syrk_ratio > SYRK_GATE {
+        eprintln!(
+            "FAIL: syrk_t on A = {SYRK_GATE_K} x {SYRK_GATE_N} takes {:.2}x gemm_blocked(A^T, A) \
+             (gate <= {SYRK_GATE}x): {} vs {}",
+            syrk_ratio,
+            ms(gate_syrk_s),
+            ms(gate_gemm_s),
         );
         failed = true;
     }

@@ -212,12 +212,13 @@ fn trsm_factor_split<S: Scalar, E: Exec<S>>(
                     t.as_mut(),
                 );
             }
-            // scatter-subtract the compacted rows back into Y
+            // scatter-subtract the compacted rows back into Y, column by
+            // column so both T and Y are walked along their contiguous axis
             exec.gather(live.len() * width);
-            for (k, &row) in live.iter().enumerate() {
-                let g = r1 + row;
-                for c in 0..width {
-                    y[(g, c)] -= t[(k, c)];
+            for c in 0..width {
+                let ycol = &mut y.col_mut(c)[r1..];
+                for (&row, &tv) in live.iter().zip(t.col(c)) {
+                    ycol[row] -= tv;
                 }
             }
         } else {

@@ -13,15 +13,19 @@
 //! Structure (BLIS-style):
 //!
 //! - [`gemm_blocked`] drives an `NC → KC → MC` cache-block loop nest over
-//!   panels packed by [`crate::pack`], with an `MR × NR` register microkernel
-//!   whose accumulators are fixed-size arrays — LLVM turns the inner loop
-//!   into broadcast-FMA vector code without any explicit intrinsics.
+//!   panels packed by [`crate::pack`], with an `MR × NR` register
+//!   microkernel. Builds with AVX-512F enabled (`target-cpu=native` on such
+//!   a host) run explicit broadcast-FMA intrinsics for `f64` and `f32`;
+//!   elsewhere a portable kernel whose accumulators are fixed-size arrays
+//!   is left to LLVM's auto-vectorizer.
 //! - [`trsm_lower_left_blocked`] factors the solve into diagonal-block scalar
 //!   sweeps plus rank-`NB` gemm updates of the trailing rows;
 //!   [`par_trsm_lower_left`] distributes independent RHS column blocks over
 //!   the rayon shim.
-//! - [`syrk_t_blocked`] computes the lower triangle per column block: a
-//!   scalar diagonal tile plus a below-diagonal rectangle delegated to gemm.
+//! - [`syrk_t_blocked`] runs the gemm loop nest on `Aᵀ A` with both
+//!   operands packed once per cache block, skips the microtiles above the
+//!   diagonal, and stores the tiles that cross it masked to the lower
+//!   triangle.
 //! - [`partial_cholesky_blocked`] is right-looking panel Cholesky: scalar
 //!   factorization of the diagonal tile, a column-sweep triangular solve for
 //!   the panel below it, and a gemm-based symmetric trailing update that only
@@ -36,7 +40,6 @@ use crate::gemm::{axpy, gemm, scale, Trans};
 use crate::mat::{MatMutOf, MatRefOf};
 use crate::pack::{PackedA, PackedB, MR, NR};
 use crate::scalar::Scalar;
-use crate::syrk::syrk_t_scalar;
 use crate::trsm::trsm_lower_left_scalar;
 
 /// Depth of one packed cache block (`kc`): `KC × MR` A-slivers and `KC × NR`
@@ -46,7 +49,8 @@ pub const KC: usize = 256;
 pub const MC: usize = 128;
 /// Width of one packed B block (`nc`): `KC × NC` values sit in L3.
 pub const NC: usize = 1024;
-/// Diagonal-block order for the blocked TRSM/SYRK/Cholesky panel loops.
+/// Diagonal-block order for the blocked TRSM/Cholesky panel loops, and the
+/// column granularity of the parallel SYRK stripes.
 pub const NB: usize = 64;
 
 /// Minimum `m * n * k` volume for [`crate::gemm()`] to route to the blocked
@@ -381,81 +385,115 @@ pub fn par_trsm_lower_left<S: Scalar>(l: MatRefOf<'_, S>, b: MatMutOf<'_, S>) {
     rec(l, b, chunk);
 }
 
-/// Blocked `C(lower) = beta * C + alpha * Aᵀ A`: per column block, a scalar
-/// diagonal tile plus a below-diagonal rectangle delegated to gemm. Same
-/// contract as [`crate::syrk_t`] (strictly upper triangle untouched), which
-/// routes here above [`PANEL_BLOCK_MIN_ORDER`].
-pub fn syrk_t_blocked<S: Scalar>(alpha: S, a: MatRefOf<'_, S>, beta: S, mut c: MatMutOf<'_, S>) {
-    let n = a.ncols();
-    let k = a.nrows();
-    assert_eq!(c.nrows(), n, "syrk C row mismatch");
-    assert_eq!(c.ncols(), n, "syrk C col mismatch");
-    for jb in (0..n).step_by(NB) {
-        let nb = NB.min(n - jb);
-        syrk_t_scalar(alpha, a.sub(0, jb, k, nb), beta, c.sub_mut(jb, jb, nb, nb));
-        let rem = n - jb - nb;
-        if rem > 0 {
-            gemm(
-                alpha,
-                a.sub(0, jb + nb, k, rem),
-                Trans::Yes,
-                a.sub(0, jb, k, nb),
-                Trans::No,
-                beta,
-                c.sub_mut(jb + nb, jb, rem, nb),
-            );
+/// Write `C[i0.., jl..] += alpha * acc` for the entries of the live
+/// `mr × nr` corner of a microkernel tile that lie on or below the global
+/// diagonal (`i >= j0 + jr`); entries above it are never touched.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn store_tile_lower<S: Scalar>(
+    alpha: S,
+    acc: &[[S; MR]; NR],
+    c: &mut MatMutOf<'_, S>,
+    i0: usize,
+    jl: usize,
+    j0: usize,
+    mr: usize,
+    nr: usize,
+) {
+    for (jr, accj) in acc.iter().enumerate().take(nr) {
+        let first = (j0 + jr).saturating_sub(i0).min(mr);
+        let col = &mut c.col_mut(jl + jr)[i0 + first..i0 + mr];
+        for (ci, &v) in col.iter_mut().zip(&accj[first..]) {
+            *ci += alpha * v;
         }
     }
 }
 
-/// Rayon-parallel blocked `C(lower) = beta * C + alpha * Aᵀ A`: the serial
-/// [`syrk_t_blocked`] loop touches a disjoint `NB`-column stripe of `C` per
-/// block (the diagonal tile and the below-diagonal rectangle both live in
-/// columns `jb .. jb + nb`), so the stripes fan out over the shim workers
-/// the same way [`par_trsm_lower_left`] distributes RHS column blocks.
+/// The lower triangle of `C = beta * C + alpha * Aᵀ A` restricted to one
+/// column stripe: `c` holds **all** `n` rows of global columns
+/// `col0 .. col0 + c.ncols()`.
 ///
-/// Each stripe replays the **exact** `syrk_t_scalar` + `gemm` calls of the
-/// serial loop on the same sub-views, so the result is bitwise identical to
-/// [`syrk_t_blocked`] regardless of the worker count (pinned by the
-/// proptest in `tests/blocked.rs`).
+/// This is [`gemm_blocked`]'s `NC → KC → MC` loop nest with `op(A) = Aᵀ`
+/// and `op(B) = A`, each operand packed once per cache block, except that
+/// the row blocks start at the stripe's first column, microtiles wholly
+/// above the diagonal are skipped, and tiles crossing it are stored masked
+/// to `i >= j`. Every entry's sum is one microkernel reduction per `KC`
+/// block regardless of where its tile sits, so any column partition of `C`
+/// gives bitwise the same result.
+fn syrk_t_stripe<S: Scalar>(
+    alpha: S,
+    a: MatRefOf<'_, S>,
+    beta: S,
+    mut c: MatMutOf<'_, S>,
+    col0: usize,
+) {
+    let n = a.ncols();
+    let k = a.nrows();
+    let w = c.ncols();
+    for jl in 0..w {
+        let j = col0 + jl;
+        scale(beta, c.sub_mut(j, jl, n - j, 1));
+    }
+    // sc-analyze: allow(float-eq)
+    if alpha == S::ZERO || k == 0 {
+        return;
+    }
+    for jc in (0..w).step_by(NC) {
+        let nc = NC.min(w - jc);
+        let row0 = col0 + jc;
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            let bp = PackedB::pack(a, Trans::No, pc, kc, row0, nc);
+            for ic in (row0..n).step_by(MC) {
+                let mc = MC.min(n - ic);
+                let ap = PackedA::pack(a, Trans::Yes, ic, mc, pc, kc);
+                for jp in 0..nc.div_ceil(NR) {
+                    let nr = NR.min(nc - jp * NR);
+                    let j0 = row0 + jp * NR;
+                    for ip in 0..mc.div_ceil(MR) {
+                        let i0 = ic + ip * MR;
+                        let mr = MR.min(mc - ip * MR);
+                        if i0 + mr <= j0 {
+                            continue;
+                        }
+                        let mut acc = [[S::ZERO; MR]; NR];
+                        microkernel(kc, ap.panel(ip), bp.panel(jp), &mut acc);
+                        store_tile_lower(alpha, &acc, &mut c, i0, jc + jp * NR, j0, mr, nr);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Blocked `C(lower) = beta * C + alpha * Aᵀ A` through the packed gemm
+/// microkernel: `Aᵀ` and `A` are packed once per cache block as in
+/// [`gemm_blocked`], microtiles above the diagonal are skipped, and the
+/// tiles that cross it are stored masked. Same contract as
+/// [`crate::syrk_t`] (strictly upper triangle untouched, `beta == 0`
+/// overwrites), which routes here above [`PANEL_BLOCK_MIN_ORDER`].
+pub fn syrk_t_blocked<S: Scalar>(alpha: S, a: MatRefOf<'_, S>, beta: S, c: MatMutOf<'_, S>) {
+    let n = a.ncols();
+    assert_eq!(c.nrows(), n, "syrk C row mismatch");
+    assert_eq!(c.ncols(), n, "syrk C col mismatch");
+    syrk_t_stripe(alpha, a, beta, c, 0);
+}
+
+/// Rayon-parallel blocked `C(lower) = beta * C + alpha * Aᵀ A`: disjoint
+/// `NB`-aligned column stripes of `C` fan out over the shim workers the
+/// same way [`par_trsm_lower_left`] distributes RHS column blocks.
+///
+/// Each stripe runs the serial kernel's stripe helper on its columns, and
+/// that helper's per-entry sums do not depend on the partition, so the
+/// result is bitwise identical to [`syrk_t_blocked`] regardless of the
+/// worker count (pinned by the proptest in `tests/blocked.rs`).
 pub fn par_syrk_t_blocked<S: Scalar>(alpha: S, a: MatRefOf<'_, S>, beta: S, c: MatMutOf<'_, S>) {
     let n = a.ncols();
     assert_eq!(c.nrows(), n, "syrk C row mismatch");
     assert_eq!(c.ncols(), n, "syrk C col mismatch");
     let workers = rayon::current_num_threads().max(1);
-    // columns per worker, rounded up to a whole number of NB blocks so every
-    // split boundary coincides with a serial-loop block boundary
+    // columns per worker, rounded up to a whole number of NB blocks
     let chunk = n.div_ceil(NB).div_ceil(workers).max(1) * NB;
-
-    /// One NB-aligned column stripe of the serial loop: `c` holds **all** `n`
-    /// rows of global columns `col0 .. col0 + c.ncols()`.
-    fn stripe<S: Scalar>(
-        alpha: S,
-        a: MatRefOf<'_, S>,
-        beta: S,
-        mut c: MatMutOf<'_, S>,
-        col0: usize,
-    ) {
-        let n = a.ncols();
-        let k = a.nrows();
-        for jl in (0..c.ncols()).step_by(NB) {
-            let jb = col0 + jl;
-            let nb = NB.min(n - jb);
-            syrk_t_scalar(alpha, a.sub(0, jb, k, nb), beta, c.sub_mut(jb, jl, nb, nb));
-            let rem = n - jb - nb;
-            if rem > 0 {
-                gemm(
-                    alpha,
-                    a.sub(0, jb + nb, k, rem),
-                    Trans::Yes,
-                    a.sub(0, jb, k, nb),
-                    Trans::No,
-                    beta,
-                    c.sub_mut(jb + nb, jl, rem, nb),
-                );
-            }
-        }
-    }
 
     fn rec<S: Scalar>(
         alpha: S,
@@ -466,7 +504,7 @@ pub fn par_syrk_t_blocked<S: Scalar>(alpha: S, a: MatRefOf<'_, S>, beta: S, c: M
         chunk: usize,
     ) {
         if c.ncols() <= chunk {
-            stripe(alpha, a, beta, c, col0);
+            syrk_t_stripe(alpha, a, beta, c, col0);
             return;
         }
         let half = (c.ncols() / chunk / 2 * chunk).max(chunk);
@@ -569,6 +607,7 @@ pub fn partial_cholesky_blocked<S: Scalar>(
 mod tests {
     use super::*;
     use crate::mat::Mat;
+    use crate::syrk::syrk_t_scalar;
 
     fn mk(m: usize, n: usize, seed: u64) -> Mat {
         let mut state = seed | 1;
@@ -710,8 +749,8 @@ mod tests {
             let mut c2 = c1.clone();
             syrk_t_blocked(0.75, a.as_ref(), -0.5, c1.as_mut());
             par_syrk_t_blocked(0.75, a.as_ref(), -0.5, c2.as_mut());
-            // each NB column-block runs the same scalar tile + gemm calls on the
-            // same sub-views regardless of which worker owns its stripe
+            // each entry gets the same microkernel sums regardless of which
+            // worker owns its stripe
             assert_eq!(c1, c2, "n={n}");
         }
     }

@@ -148,8 +148,8 @@ proptest! {
         let mut cp = cs.clone();
         syrk_t_blocked(1.25, x.as_ref(), -0.75, cs.as_mut());
         par_syrk_t_blocked(1.25, x.as_ref(), -0.75, cp.as_mut());
-        // column-stripe partitioning replays the exact serial sub-view calls,
-        // so the parallel variant is bitwise identical, not just close
+        // each entry's microkernel sums do not depend on the column-stripe
+        // partition, so the parallel variant is bitwise identical, not just close
         prop_assert_eq!(cs, cp);
     }
 
@@ -205,5 +205,82 @@ fn blocked_gemm_degenerate_and_boundary_shapes() {
         let a = Mat::from_fn(m, k, |i, j| ((i * 31 + j * 17) % 100) as f64 * 0.01 - 0.5);
         let b = Mat::from_fn(k, n, |i, j| ((i * 13 + j * 7) % 100) as f64 * 0.01 - 0.3);
         check_gemm(&a, &b, Trans::No, Trans::No, k);
+    }
+}
+
+/// Deterministic values in `[-1, 1)` from a seed.
+fn seeded<S: Scalar>(m: usize, n: usize, seed: u64) -> MatOf<S> {
+    let mut s = seed | 1;
+    MatOf::from_fn(m, n, |_, _| {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        S::from_f64(((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0)
+    })
+}
+
+/// The blocked SYRK stores the microtiles that cross the diagonal masked to
+/// the lower triangle; check every entry against the scalar reference across
+/// reduction depths and orders straddling `NB`, and check that the strictly
+/// upper triangle is never written.
+fn check_syrk_tiles<S: Scalar>() {
+    let nb = sc_dense::blocked::NB;
+    for k in [0usize, 1, 7, 41, 200] {
+        for n in [1, nb - 1, nb, nb + 1, 2 * nb + 5] {
+            let a = seeded::<S>(k, n, (k * 1000 + n) as u64);
+            let c0 = seeded::<S>(n, n, 77);
+            let mut cb = c0.clone();
+            let mut cs = c0.clone();
+            let (alpha, beta) = (S::from_f64(0.75), S::from_f64(-1.25));
+            syrk_t_blocked(alpha, a.as_ref(), beta, cb.as_mut());
+            syrk_t_scalar(alpha, a.as_ref(), beta, cs.as_mut());
+            let d = sc_dense::max_abs_diff(cb.as_ref(), cs.as_ref());
+            assert!(
+                d < tol::<S>(k) + 2.0 * S::EPSILON.to_f64(),
+                "{} syrk blocked vs scalar diff {d:.3e} (k={k} n={n})",
+                S::NAME
+            );
+            for j in 0..n {
+                for i in 0..j {
+                    assert_eq!(
+                        cb[(i, j)],
+                        c0[(i, j)],
+                        "upper ({i},{j}) touched, k={k} n={n}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn blocked_syrk_tiles_match_scalar_f64() {
+    check_syrk_tiles::<f64>();
+}
+
+#[test]
+fn blocked_syrk_tiles_match_scalar_f32() {
+    check_syrk_tiles::<f32>();
+}
+
+#[test]
+fn blocked_syrk_beta_zero_overwrites_nan_lower_only() {
+    let nb = sc_dense::blocked::NB;
+    for n in [nb - 3, nb, 2 * nb + 7] {
+        let a = seeded::<f64>(41, n, n as u64);
+        let mut c = Mat::from_fn(n, n, |_, _| f64::NAN);
+        let mut cs = Mat::zeros(n, n);
+        syrk_t_blocked(1.5, a.as_ref(), 0.0, c.as_mut());
+        syrk_t_scalar(1.5, a.as_ref(), 0.0, cs.as_mut());
+        for j in 0..n {
+            for i in 0..n {
+                if i >= j {
+                    assert!(c[(i, j)].is_finite(), "NaN survived at ({i},{j}), n={n}");
+                    assert!((c[(i, j)] - cs[(i, j)]).abs() < tol::<f64>(41));
+                } else {
+                    assert!(c[(i, j)].is_nan(), "upper ({i},{j}) written, n={n}");
+                }
+            }
+        }
     }
 }

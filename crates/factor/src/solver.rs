@@ -9,6 +9,7 @@ use crate::symbolic::{analyze, Symbolic};
 use sc_dense::Scalar;
 use sc_order::Ordering;
 use sc_sparse::{CscOf, Perm};
+use std::borrow::Cow;
 
 /// Numeric engine selector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,11 +133,13 @@ impl<S: Scalar> SparseCholeskyOf<S> {
         }
     }
 
-    /// Borrow the simplicial factor without copying (None for supernodal).
-    pub fn factor_csc_ref(&self) -> Option<&CscOf<S>> {
+    /// The factor `L` as CSC (in permuted index space) without copying when
+    /// possible: borrowed for the simplicial engine, materialized from the
+    /// panels for the supernodal one.
+    pub fn factor_cow(&self) -> Cow<'_, CscOf<S>> {
         match &self.numeric {
-            NumericFactor::Simplicial(l) => Some(l),
-            NumericFactor::Supernodal(_) => None,
+            NumericFactor::Simplicial(l) => Cow::Borrowed(l),
+            NumericFactor::Supernodal(f) => Cow::Owned(f.to_csc()),
         }
     }
 

@@ -186,7 +186,7 @@ pub fn preprocess_approach(
             let ops = factors
                 .par_iter()
                 .map(|f| {
-                    let l = f.chol.factor_csc();
+                    let l = f.chol.factor_cow();
                     let fmat = schur_from_factor(&l, &f.chol.symbolic().parent, &f.bt_perm);
                     DualOperator::ExplicitCpu(fmat)
                 })
@@ -228,7 +228,7 @@ pub fn preprocess_approach(
             let mats: Vec<Mat> = factors
                 .par_iter()
                 .map(|f| {
-                    let l = f.chol.factor_csc();
+                    let l = f.chol.factor_cow();
                     schur_from_factor(&l, &f.chol.symbolic().parent, &f.bt_perm)
                 })
                 .collect();

@@ -177,7 +177,7 @@ impl DualOperator {
 
     /// Assemble the explicit operator on the CPU with the given config.
     pub fn explicit_cpu(factors: &SubdomainFactors, cfg: &ScConfig) -> Self {
-        let l = factors.chol.factor_csc();
+        let l = factors.chol.factor_cow();
         let f = assemble_sc(&mut CpuExec, &l, &factors.bt_perm, cfg);
         DualOperator::ExplicitCpu(f)
     }
@@ -185,7 +185,7 @@ impl DualOperator {
     /// Assemble the explicit operator on the simulated GPU (the factor is
     /// uploaded first, mirroring the original algorithm's H2D copy).
     pub fn explicit_gpu(factors: &SubdomainFactors, cfg: &ScConfig, kernels: GpuKernels) -> Self {
-        let l = factors.chol.factor_csc();
+        let l = factors.chol.factor_cow();
         kernels.upload_csc(&l);
         kernels.upload_csc(&factors.bt_perm);
         let mut exec = GpuExec::new(&kernels);

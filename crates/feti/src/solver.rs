@@ -24,7 +24,6 @@ use sc_fem::HeatProblem;
 use sc_gpu::{DevicePool, GpuKernels, NodePool, Stream};
 use sc_order::Ordering;
 use sc_sparse::{Coo, Csc};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Which dual-operator formulation the solver realizes (orthogonal to the
@@ -438,9 +437,10 @@ impl<'p> FetiSolver<'p> {
                 let session = AssemblySession::new(backend.clone(), cfg);
                 let res = session.assemble(LazyBatch::new(
                     &factors,
-                    // each task extracts its own factor copy, so peak memory
-                    // is one factor per worker, not one per subdomain
-                    |_, f: &SubdomainFactors| Cow::Owned(f.chol.factor_csc()),
+                    // simplicial factors are borrowed; a supernodal one is
+                    // materialized per task, so peak memory is one factor
+                    // copy per worker, not one per subdomain
+                    |_, f: &SubdomainFactors| f.chol.factor_cow(),
                     |f| &f.bt_perm,
                 ));
                 let ops = bind_ops(res.f, &res.report, &backend);
@@ -1126,19 +1126,12 @@ fn assemble_auto(
         .par_iter()
         .enumerate()
         .map(|(i, f)| {
-            let owned;
-            let l: &Csc = match f.chol.factor_csc_ref() {
-                Some(l) => l,
-                None => {
-                    owned = f.chol.factor_csc();
-                    &owned
-                }
-            };
+            let l = f.chol.factor_cow();
             let bt = &f.bt_perm;
-            let params = cfg.resolve(!pool.is_empty(), l, bt);
+            let params = cfg.resolve(!pool.is_empty(), &l, bt);
             (
-                estimate_cost(&ref_spec, l, bt, &params, i),
-                estimate_apply(l, bt, i),
+                estimate_cost(&ref_spec, &l, bt, &params, i),
+                estimate_apply(&l, bt, i),
             )
         })
         .collect();
@@ -1170,7 +1163,7 @@ fn assemble_auto(
         );
         let res = session.assemble(LazyBatch::new(
             &gpu_items,
-            |_, f: &&SubdomainFactors| Cow::Owned(f.chol.factor_csc()),
+            |_, f: &&SubdomainFactors| f.chol.factor_cow(),
             |f| &f.bt_perm,
         ));
         for (local, mat) in res.f.into_iter().enumerate() {
@@ -1195,7 +1188,7 @@ fn assemble_auto(
         let session = AssemblySession::new(Backend::cpu().precision(backend.precision), *cfg);
         let res = session.assemble(LazyBatch::new(
             &cpu_items,
-            |_, f: &&SubdomainFactors| Cow::Owned(f.chol.factor_csc()),
+            |_, f: &&SubdomainFactors| f.chol.factor_cow(),
             |f| &f.bt_perm,
         ));
         for (local, mat) in res.f.into_iter().enumerate() {

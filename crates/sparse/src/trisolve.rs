@@ -45,27 +45,62 @@ pub fn csc_lower_t_solve<S: Scalar>(l: &CscOf<S>, x: &mut [S]) {
     }
 }
 
+/// RHS columns solved together by one sweep of the factor in
+/// [`csc_lower_solve_mat`]: eight `f64` lanes fill one AVX-512 register (or
+/// two AVX2 ones); `f32` panels use half the width.
+const PANEL: usize = 8;
+
 /// Solve `L X = B` in place for a dense multi-column RHS (sparse TRSM).
 ///
-/// The factor column sweep is shared across RHS columns; each factor entry is
-/// applied to one RHS row at a time, so the inner loop runs along the RHS row
-/// (strided by the leading dimension). For tall skinny RHS this is the
-/// standard sparse TRSM ordering.
+/// The RHS is processed in panels of [`PANEL`] columns. Each panel is
+/// copied into an interleaved row-major scratch buffer (`PANEL` values per
+/// row, contiguous), and the factor's columns are swept **once per panel**:
+/// every stored entry `(i, v)` of column `j` updates the whole panel row `i`
+/// with one vector operation. Each RHS column still sees exactly the
+/// per-column sequence of divides and `b[i] -= v * x_j` updates (no FMA
+/// contraction, no zero fast path), so the result is bitwise identical to
+/// solving the columns one at a time; a ragged last panel runs on
+/// zero-padded lanes that are never written back.
 pub fn csc_lower_solve_mat<S: Scalar>(l: &CscOf<S>, mut b: MatMutOf<'_, S>) {
     let n = l.ncols();
     assert_eq!(l.nrows(), n);
     assert_eq!(b.nrows(), n);
-    for c in 0..b.ncols() {
-        let bcol = b.col_mut(c);
+    let m = b.ncols();
+    if n == 0 || m == 0 {
+        return;
+    }
+    let mut w = vec![[S::ZERO; PANEL]; n];
+    for c0 in (0..m).step_by(PANEL) {
+        let pw = PANEL.min(m - c0);
+        if pw < PANEL {
+            w.fill([S::ZERO; PANEL]);
+        }
+        for k in 0..pw {
+            for (wi, &v) in w.iter_mut().zip(b.col(c0 + k)) {
+                wi[k] = v;
+            }
+        }
         for j in 0..n {
             let (rows, vals) = l.col(j);
             debug_assert_eq!(rows.first(), Some(&j), "missing diagonal in column {j}");
-            let xj = bcol[j] / vals[0];
-            bcol[j] = xj;
+            let d = vals[0];
+            let mut xj = w[j];
+            for x in &mut xj {
+                *x /= d;
+            }
+            w[j] = xj;
             // no zero-value fast path (see sc-dense TRSM): sparse BLAS
             // kernels traverse the stored factor pattern unconditionally
             for (&i, &v) in rows[1..].iter().zip(&vals[1..]) {
-                bcol[i] -= v * xj;
+                let wi = &mut w[i];
+                for (y, &x) in wi.iter_mut().zip(&xj) {
+                    *y -= v * x;
+                }
+            }
+        }
+        for k in 0..pw {
+            for (y, wi) in b.col_mut(c0 + k).iter_mut().zip(&w) {
+                *y = wi[k];
             }
         }
     }
